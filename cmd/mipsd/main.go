@@ -3,14 +3,16 @@
 // Usage:
 //
 //	mipsd [-addr :9418] [-workers N] [-queue N] [-quantum N] [-max N]
-//	      [-engine ENGINE] [-peers URL,URL]
+//	      [-peers URL,URL] [-drain D] [-jitlog-buf N]
 //
 // mipsd runs many simulations at once on a bounded worker pool. Jobs
 // are submitted over HTTP and preempted at checkpoint boundaries every
 // -quantum scheduler steps, so a handful of workers makes fair progress
 // across hundreds of queued machines. Clients may download a live
 // snapshot of any running job and resubmit it later — to the same
-// daemon, a different one, or a different engine.
+// daemon, a different one, or a different engine. A job names its
+// engine in its spec ("engine": reference, fast, blocks or traces);
+// jobs that name none run on traces.
 //
 // The job API is versioned under /v1. Jobs cold-boot from a corpus
 // program or a snapshot upload, or warm-fork from a named template — a
@@ -35,8 +37,7 @@
 //
 // Errors are a JSON envelope {"error": "...", "code": "..."} with
 // machine-readable codes (queue_full, closed, not_found, bad_spec,
-// template_missing). The unversioned /jobs paths remain as aliases for
-// one release and will be removed; new clients should use /v1.
+// template_missing).
 //
 // Submittable programs are the built-in corpus; the telemetry surface
 // serves the job service's counters plus the fleet rollup:
@@ -92,16 +93,10 @@ func main() {
 	queue := flag.Int("queue", 256, "job queue depth (admission bound)")
 	quantum := flag.Uint64("quantum", 1_000_000, "preemption quantum in scheduler steps")
 	maxSteps := flag.Uint64("max", 500_000_000, "default per-job step budget")
-	engineFlag := flag.String("engine", "", "default execution engine: reference | fast | blocks")
 	peersFlag := flag.String("peers", "", "comma-separated peer mipsd URLs to federate (coordinator mode)")
 	drainWait := flag.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown")
 	jitlogBuf := flag.Int("jitlog-buf", trace.DefaultJITLogSize, "shared JIT event ring capacity")
 	flag.Parse()
-	engine, err := sim.ParseEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-	sim.SetDefault(engine)
 
 	// Fleet observability: terminal jobs roll into sharded per-tenant
 	// sketches, traced jobs register as sampled-SSE sources, and -peers
@@ -149,7 +144,7 @@ func main() {
 	})
 
 	srv := telemetry.New(telemetry.Config{
-		Program: "mipsd", Args: os.Args[1:], Engine: engine.String(),
+		Program: "mipsd", Args: os.Args[1:],
 		Sampler:  directory,
 		JIT:      jitLog,
 		JITSites: svc.FleetJITSites,
@@ -162,13 +157,11 @@ func main() {
 	})
 	srv.SetFleetFolded(func(w io.Writer) error {
 		merged, _ := fed.MergedFolded(svc.FleetFolded())
-		return fleet.WriteFolded(w, merged)
+		return trace.WriteFolded(w, merged)
 	})
 	templates := sim.NewTemplatePool()
 	handler := svc.Handler(sim.HTTPConfig{Programs: corpusPrograms(), Templates: templates})
 	srv.Mount("/v1/", handler)
-	srv.Mount("/jobs", handler) // legacy unversioned aliases (one release)
-	srv.Mount("/jobs/", handler)
 	srv.Mount("/fleet/peers", fed.Handler())
 
 	bound, err := srv.Start(*addr)

@@ -17,8 +17,7 @@
 // fast (the per-instruction predecoded path), blocks (the superblock
 // translation engine), or traces (the trace JIT tier layered on the
 // superblock engine, the default). The engines are observably
-// identical; the choice changes only simulation speed. The old
-// -reference and -blocks flags remain as deprecated aliases.
+// identical; the choice changes only simulation speed.
 //
 // Observability (packages trace and telemetry):
 //
@@ -58,7 +57,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"sync/atomic"
 	"syscall"
 
 	"mips/internal/codegen"
@@ -78,8 +76,6 @@ func main() {
 	useKernel := flag.Bool("kernel", false, "run under the kernel with demand paging")
 	timer := flag.Uint("timer", 0, "timer period in user instructions (0 = off; implies -kernel)")
 	engineFlag := flag.String("engine", "", "execution engine: reference | fast | blocks | traces (default traces)")
-	reference := flag.Bool("reference", false, "deprecated: use -engine=reference")
-	blocks := flag.Bool("blocks", true, "deprecated: use -engine=fast to disable superblocks")
 	traceN := flag.Uint64("trace", 0, "print the first N executed instructions to stderr")
 	traceJSON := flag.String("trace-json", "", "write Chrome trace_event JSON to this file")
 	traceBuf := flag.Int("trace-buf", trace.DefaultRingCap, "event ring capacity")
@@ -100,17 +96,6 @@ func main() {
 	engine, err := sim.ParseEngine(*engineFlag)
 	if err != nil {
 		fatal(err)
-	}
-	if engine == sim.Default {
-		// Honor the deprecated boolean knobs when -engine is absent.
-		switch {
-		case *reference:
-			engine = sim.Reference
-		case !*blocks:
-			engine = sim.FastPath
-		default:
-			engine = sim.Traces
-		}
 	}
 
 	var images []*isa.Image
@@ -175,39 +160,10 @@ func main() {
 
 	// The JIT event log rides along whenever a jitlog export is asked
 	// for; with -serve it also backs /jit/events, /jit/traces and the
-	// jit SSE source. The machine pointer is published after build so
-	// live /jit/traces reads are well ordered.
+	// jit SSE source.
 	var jitLog *trace.JITLog
-	var liveMachine atomic.Pointer[sim.Machine]
 	if *jitlogOut != "" || *jitlogChrome != "" {
 		jitLog = trace.NewJITLog(*jitlogBuf)
-	}
-
-	var srv *telemetry.Server
-	var liveURL string
-	if *serve != "" {
-		cfg := telemetry.Config{
-			Program: "mipsrun", Args: os.Args[1:], Engine: engine.String(),
-			Tracer: tracer, Profiler: profiler,
-		}
-		if jitLog != nil {
-			cfg.JIT = jitLog
-			cfg.JITSites = telemetry.SingleJITSites("machine", func() trace.JITSites {
-				m := liveMachine.Load()
-				if m == nil {
-					return trace.JITSites{}
-				}
-				return trace.CollectJITSites(m.CPU(), profiler)
-			})
-		}
-		srv = telemetry.New(cfg)
-		srv.AddSource("", registry)
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fatal(err)
-		}
-		liveURL = displayURL(addr)
-		fmt.Fprintf(os.Stderr, "mipsrun: serving live telemetry at %s (metrics, trace/stream, profile/flame, profile/top, status)\n", liveURL)
 	}
 
 	opts := []sim.Option{sim.WithEngine(engine), sim.WithTelemetry(registry)}
@@ -215,7 +171,7 @@ func main() {
 		opts = append(opts, sim.WithObserver(obs))
 	}
 	if jitLog != nil {
-		shareTraces := srv != nil
+		shareTraces := *serve != ""
 		opts = append(opts, sim.WithAttach(func(c *cpu.CPU) {
 			jitLog.Attach(c)
 			if shareTraces {
@@ -232,7 +188,30 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	liveMachine.Store(m)
+
+	var srv *telemetry.Server
+	var liveURL string
+	if *serve != "" {
+		cfg := telemetry.Config{
+			Program: "mipsrun", Args: os.Args[1:], Engine: m.Engine().String(),
+			Tracer: tracer, Profiler: profiler,
+		}
+		if jitLog != nil {
+			cfg.JIT = jitLog
+			cfg.JITSites = telemetry.SingleJITSites("machine", func() trace.JITSites {
+				return trace.CollectJITSites(m.CPU(), profiler)
+			})
+		}
+		srv = telemetry.New(cfg)
+		srv.AddSource("", registry)
+		addr, err := srv.Start(*serve)
+		if err != nil {
+			fatal(err)
+		}
+		liveURL = displayURL(addr)
+		fmt.Fprintf(os.Stderr, "mipsrun: serving live telemetry at %s (metrics, trace/stream, profile/flame, profile/top, status)\n", liveURL)
+	}
+
 	for i, im := range images {
 		if err := m.Load(im); err != nil {
 			fatal(fmt.Errorf("%s: %w", imageNames[i], err))
@@ -258,7 +237,7 @@ func main() {
 	}
 	if profiler != nil && *flameOut != "" {
 		if err := writeFile(*flameOut, func(w io.Writer) error {
-			return telemetry.WriteFolded(w, profiler)
+			return trace.WriteFolded(w, profiler.Folded())
 		}); err != nil {
 			fatal(err)
 		}

@@ -15,6 +15,10 @@
 // paper order regardless of which worker finishes first, so -j changes
 // only wall-clock time, never output.
 //
+// -engine selects the execution engine the corebench experiment runs
+// on (default traces). The paper tables do not depend on the engine, so
+// they always run on the default one.
+//
 // -serve exposes live telemetry over HTTP while the evaluation runs:
 // /metrics aggregates every corebench program's registry under an
 // `experiment` label alongside the driver's own progress counters, and
@@ -47,16 +51,12 @@ func main() {
 	coreJSON := flag.String("core-json", "BENCH_core.json", "file for the corebench metrics JSON (empty to disable)")
 	workers := flag.Int("j", 1, "experiment worker count (0 = one per CPU)")
 	serve := flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9417)")
-	engineFlag := flag.String("engine", "", "execution engine: reference | fast | blocks | traces (default traces)")
-	blocks := flag.Bool("blocks", true, "deprecated: use -engine=fast to disable superblocks")
+	engineFlag := flag.String("engine", "", "corebench execution engine: reference | fast | blocks | traces (default traces)")
 	flag.Parse()
 	engine, err := sim.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
-	}
-	if engine == sim.Default && !*blocks {
-		engine = sim.FastPath // deprecated -blocks=false alias
 	}
 	want := map[string]bool{}
 	for _, a := range flag.Args() {
@@ -108,7 +108,7 @@ func main() {
 	}
 
 	failedRun := false
-	for _, r := range tables.RunAllWith(exps, *workers, engine, onDone) {
+	for _, r := range tables.RunAllWith(exps, *workers, onDone) {
 		if r.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, r.Err)
 			failedRun = true

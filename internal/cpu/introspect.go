@@ -112,7 +112,8 @@ func (r FormRefusal) String() string {
 	return "unknown"
 }
 
-// Tier identifies one execution engine tier for residency accounting.
+// Tier identifies one execution engine tier, for engine selection
+// (SetTier) and residency accounting.
 type Tier uint8
 
 const (

@@ -20,9 +20,9 @@ import (
 type Engine int
 
 const (
-	// Default defers to the process-wide default engine (Traces unless
-	// SetDefault changed it). It is the zero value, so zero-configured
-	// machines follow the process default.
+	// Default is the zero value: Traces for New, and the snapshot's own
+	// engine for Restore and Template.Fork. Snapshots store the engine
+	// by number, so the numbering below must not change.
 	Default Engine = iota
 	// Reference is the reference interpreter: pieces re-read and
 	// re-decoded every cycle. The baseline the others are tested against.
@@ -73,50 +73,6 @@ func ParseEngine(s string) (Engine, error) {
 	return Default, fmt.Errorf("sim: unknown engine %q (want reference, fast, blocks, or traces)", s)
 }
 
-// defaultEngine is what Default resolves to; process-wide, set once by
-// the command line before machines are built.
-var defaultEngine = Traces
-
-// SetDefault sets the process-wide default engine: what Engine(0)
-// resolves to, and what CPUs constructed outside the facade start with.
-// Call it from main before building machines; it is not synchronized
-// against concurrent machine construction. Passing Default is a no-op.
-func SetDefault(e Engine) {
-	if e == Default {
-		return
-	}
-	defaultEngine = e
-	cpu.SetDefaultFastPath(e != Reference)
-	cpu.SetDefaultBlocks(e == Blocks || e == Traces)
-	cpu.SetDefaultTraces(e == Traces)
-}
-
-// resolve maps Default to the current process-wide default.
-func (e Engine) resolve() Engine {
-	if e == Default {
-		return defaultEngine
-	}
-	return e
-}
-
-// apply configures a CPU for the engine.
-func (e Engine) apply(c *cpu.CPU) {
-	switch e.resolve() {
-	case Reference:
-		c.SetFastPath(false)
-		c.SetBlocks(false)
-		c.SetTraces(false)
-	case FastPath:
-		c.SetFastPath(true)
-		c.SetBlocks(false)
-		c.SetTraces(false)
-	case Blocks:
-		c.SetFastPath(true)
-		c.SetBlocks(true)
-		c.SetTraces(false)
-	default:
-		c.SetFastPath(true)
-		c.SetBlocks(true)
-		c.SetTraces(true)
-	}
-}
+// apply configures a CPU for a non-Default engine: Reference through
+// Traces map in order onto cpu.TierReference through cpu.TierTraces.
+func (e Engine) apply(c *cpu.CPU) { c.SetTier(cpu.Tier(e - Reference)) }

@@ -12,6 +12,7 @@ import (
 
 	"mips/internal/isa"
 	"mips/internal/kernel"
+	"mips/internal/trace"
 )
 
 // HTTP surface of the job service (cmd/mipsd mounts it on the
@@ -30,9 +31,7 @@ import (
 //	GET    /v1/templates/{name}      one template's metadata
 //	DELETE /v1/templates/{name}      delete a template (live forks keep running)
 //
-// The legacy unversioned /jobs paths remain mounted as thin aliases for
-// one release (see the README deprecation note); new clients should use
-// /v1. Every error response is one JSON envelope:
+// Every error response is one JSON envelope:
 //
 //	{"error": "human-readable message", "code": "machine_readable_code"}
 //
@@ -80,7 +79,7 @@ type jobRequest struct {
 	Program   string `json:"program"`    // built-in program name
 	Snapshot  []byte `json:"snapshot"`   // base64 snapshot to resume instead
 	Template  string `json:"template"`   // golden template to warm-fork instead
-	Engine    string `json:"engine"`     // reference | fast | blocks | traces (default: process default)
+	Engine    string `json:"engine"`     // reference | fast | blocks | traces (default: traces)
 	Kernel    bool   `json:"kernel"`     // run under the kernel machine
 	Timer     uint32 `json:"timer"`      // kernel timer period (implies kernel)
 	Processes int    `json:"processes"`  // kernel: copies of the program to load (default 1)
@@ -117,8 +116,7 @@ type templateList struct {
 	Templates []TemplateInfo `json:"templates"`
 }
 
-// Handler returns the job service's HTTP API (both the /v1 surface and
-// the legacy unversioned aliases).
+// Handler returns the job service's /v1 HTTP API.
 func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 	if cfg.Templates == nil {
 		cfg.Templates = NewTemplatePool()
@@ -143,18 +141,6 @@ func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 	mux.HandleFunc("GET /v1/templates/{name}", h.templateGet)
 	mux.HandleFunc("DELETE /v1/templates/{name}", h.templateDelete)
 
-	// Legacy unversioned aliases, kept for one release. The legacy list
-	// keeps its original bare-array shape; everything else shares the
-	// /v1 handlers.
-	mux.HandleFunc("POST /jobs", h.submit)
-	mux.HandleFunc("POST /jobs/{$}", h.submit)
-	mux.HandleFunc("GET /jobs", h.legacyList)
-	mux.HandleFunc("GET /jobs/{$}", h.legacyList)
-	mux.HandleFunc("GET /jobs/{id}", h.status)
-	mux.HandleFunc("GET /jobs/{id}/output", h.output)
-	mux.HandleFunc("GET /jobs/{id}/profile", h.profile)
-	mux.HandleFunc("GET /jobs/{id}/snapshot", h.snapshot)
-	mux.HandleFunc("POST /jobs/{id}/cancel", h.cancel)
 	return mux
 }
 
@@ -358,17 +344,6 @@ func (h *jobHandler) list(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, page)
 }
 
-// legacyList preserves the unversioned GET /jobs shape — a bare status
-// array, no filtering — for the deprecation window.
-func (h *jobHandler) legacyList(w http.ResponseWriter, r *http.Request) {
-	jobs := h.svc.Jobs()
-	out := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (h *jobHandler) job(w http.ResponseWriter, r *http.Request) *Job {
 	j, ok := h.svc.Job(r.PathValue("id"))
 	if !ok {
@@ -411,24 +386,8 @@ func (h *jobHandler) profile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, CodeNotFound, errors.New("job was not submitted with profile: true (or has not built its machine)"))
 		return
 	}
-	type row struct {
-		stack string
-		n     uint64
-	}
-	rows := make([]row, 0, len(folded))
-	for s, n := range folded {
-		rows = append(rows, row{s, n})
-	}
-	sort.Slice(rows, func(i, k int) bool {
-		if rows[i].n != rows[k].n {
-			return rows[i].n > rows[k].n
-		}
-		return rows[i].stack < rows[k].stack
-	})
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, rw := range rows {
-		fmt.Fprintf(w, "%s %d\n", rw.stack, rw.n)
-	}
+	trace.WriteFolded(w, folded)
 }
 
 func (h *jobHandler) snapshot(w http.ResponseWriter, r *http.Request) {

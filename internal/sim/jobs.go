@@ -636,9 +636,7 @@ func (s *Service) TenantActive() map[string]uint64 {
 func (s *Service) FleetFolded() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, j := range s.Jobs() {
-		for stack, n := range j.FoldedProfile() {
-			out[stack] += n
-		}
+		trace.MergeFolded(out, j.FoldedProfile())
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -50,7 +51,7 @@ type config struct {
 type Option func(*config)
 
 // WithEngine selects the execution engine. Default (the zero Engine)
-// follows the process-wide default.
+// means Traces for New and the snapshot's engine for Restore and Fork.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithKernel builds the full machine — dispatch ROM, demand paging,
@@ -114,13 +115,19 @@ type Machine struct {
 }
 
 // New builds a machine. With no options: the bare machine on the
-// process-default engine.
+// Traces engine.
 func New(opts ...Option) (*Machine, error) {
 	cfg := config{spaceBits: 16}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m := &Machine{engine: cfg.engine.resolve(), interlocked: cfg.interlocked, spaceBits: cfg.spaceBits}
+	if cfg.engine == Default {
+		cfg.engine = Traces
+	}
+	if cfg.engine < Reference || cfg.engine > Traces {
+		return nil, fmt.Errorf("sim: engine %d out of range", cfg.engine)
+	}
+	m := &Machine{engine: cfg.engine, interlocked: cfg.interlocked, spaceBits: cfg.spaceBits}
 
 	if cfg.kernelCfg != nil {
 		k, err := kernel.NewMachine(*cfg.kernelCfg)

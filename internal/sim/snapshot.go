@@ -204,7 +204,7 @@ func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machin
 	}
 	engine := Engine(wire.Engine)
 	if cfg.engine != Default {
-		engine = cfg.engine.resolve()
+		engine = cfg.engine
 	}
 	if engine < Reference || engine > Traces {
 		return nil, fmt.Errorf("%w: engine %d out of range", ErrSnapshotFormat, wire.Engine)

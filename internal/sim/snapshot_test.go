@@ -260,6 +260,45 @@ func TestSnapshotRestoreAcrossEngines(t *testing.T) {
 	diffImages(t, straight, capture(t, r, ehB))
 }
 
+// TestEngineSelection pins how a machine's one engine value is chosen:
+// Default means Traces for New and the snapshot's engine for Restore,
+// each engine sets the matching CPU tier, and an engine outside the
+// enum is refused.
+func TestEngineSelection(t *testing.T) {
+	m, err := sim.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Engine() != sim.Traces || m.CPU().Tier() != cpu.TierTraces {
+		t.Errorf("New(): engine %v, tier %v; want traces", m.Engine(), m.CPU().Tier())
+	}
+	for e, tier := range map[sim.Engine]cpu.Tier{
+		sim.Reference: cpu.TierReference, sim.FastPath: cpu.TierFast,
+		sim.Blocks: cpu.TierBlocks, sim.Traces: cpu.TierTraces,
+	} {
+		m, err := sim.New(sim.WithEngine(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.Restore(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.CPU().Tier() != tier || r.Engine() != e || r.CPU().Tier() != tier {
+			t.Errorf("%v: tier %v, restored as %v on tier %v", e, m.CPU().Tier(), r.Engine(), r.CPU().Tier())
+		}
+	}
+	for _, e := range []sim.Engine{-1, sim.Traces + 1} {
+		if _, err := sim.New(sim.WithEngine(e)); err == nil {
+			t.Errorf("engine %d accepted", e)
+		}
+	}
+}
+
 // TestSnapshotRandomPreemptAcrossEngines is the trace tier's
 // preempt/restore property test: a run is chopped into randomly sized
 // step quanta, and at every quantum boundary the machine is snapshotted

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mips/internal/sim"
 	"mips/internal/trace"
 )
 
@@ -266,7 +267,7 @@ func TestCoreBenchParallelWithSink(t *testing.T) {
 	}
 	var mu sync.Mutex
 	regs := map[string]*trace.Registry{}
-	bench, err := CoreBenchParallelWith(2, func(name string, reg *trace.Registry) {
+	bench, err := CoreBenchRun(2, sim.Default, func(name string, reg *trace.Registry) {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, dup := regs[name]; dup {

@@ -3,8 +3,6 @@ package tables
 import (
 	"runtime"
 	"sync"
-
-	"mips/internal/sim"
 )
 
 // The experiments are independent simulations — each builds its own
@@ -25,21 +23,15 @@ type Result struct {
 // returns their results in input order. workers <= 0 selects
 // GOMAXPROCS workers.
 func RunAll(exps []Experiment, workers int) []Result {
-	return RunAllWith(exps, workers, sim.Default, nil)
+	return RunAllWith(exps, workers, nil)
 }
 
-// RunAllWith is RunAll with the execution engine selectable and a
-// completion hook. The experiments build their machines deep inside
-// this package, so a non-Default engine is applied as the process-wide
-// default (sim.SetDefault) before the pool starts; results are
-// engine-independent — the choice changes only how fast the evaluation
-// runs. onDone, if non-nil, is called with each result as its
-// experiment finishes, from the worker goroutine that ran it. The
-// telemetry server uses it to expose live experiment progress; the hook
-// must therefore be safe for concurrent calls (trace.Counter
-// increments are).
-func RunAllWith(exps []Experiment, workers int, engine sim.Engine, onDone func(Result)) []Result {
-	sim.SetDefault(engine)
+// RunAllWith is RunAll with a completion hook: onDone, if non-nil, is
+// called with each result as its experiment finishes, from the worker
+// goroutine that ran it. The telemetry server uses it to expose live
+// experiment progress; the hook must therefore be safe for concurrent
+// calls (trace.Counter increments are).
+func RunAllWith(exps []Experiment, workers int, onDone func(Result)) []Result {
 	results := make([]Result, len(exps))
 	forEachIndexed(len(exps), workers, func(i int) {
 		tab, err := exps[i].Run()

@@ -1,13 +1,9 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"mips/internal/trace"
 )
@@ -39,53 +35,7 @@ func (s *Server) handleFlame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	WriteFolded(w, p)
-}
-
-// WriteFolded writes the profiler's flat profile as folded-stack
-// flamegraph text, heaviest symbol first (trace.Profiler.Flat order).
-func WriteFolded(w io.Writer, p *trace.Profiler) error {
-	for _, row := range p.Flat() {
-		space := "user"
-		if row.Kernel {
-			space = "kernel"
-		}
-		if _, err := fmt.Fprintf(w, "%s;%s %d\n", space, foldedFrame(row.Name), row.Cycles); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// foldedFrame sanitizes a symbol for the folded format, whose frame
-// separator is ';' and whose count separator is ' '.
-func foldedFrame(name string) string {
-	name = strings.ReplaceAll(name, ";", "_")
-	return strings.ReplaceAll(name, " ", "_")
-}
-
-// ParseFolded reads folded-stack text back into stack -> weight, the
-// inverse of WriteFolded (round-tripped in tests so the artifact CI
-// uploads stays loadable).
-func ParseFolded(r io.Reader) (map[string]uint64, error) {
-	out := map[string]uint64{}
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("telemetry: folded line %q has no count", line)
-		}
-		n, err := strconv.ParseUint(line[i+1:], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: folded line %q: %w", line, err)
-		}
-		out[line[:i]] += n
-	}
-	return out, sc.Err()
+	trace.WriteFolded(w, p.Folded())
 }
 
 // TopEntry is one /profile/top row, a JSON rendering of

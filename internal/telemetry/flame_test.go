@@ -1,23 +1,22 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mips/internal/trace"
 )
 
-// TestFoldedRoundTrip pins the folded flamegraph format: rendering the
-// profile of a real run and parsing it back recovers every symbol's
-// exact cycle weight, and the weights sum to the run's total cycles.
+// TestFoldedRoundTrip pins the /profile/flame body: parsing the folded
+// stacks served for a real run recovers every symbol's exact cycle
+// weight, and the weights sum to the run's total cycles.
 func TestFoldedRoundTrip(t *testing.T) {
 	_, _, profiler, res := runCorpus(t, "calc")
-	var buf bytes.Buffer
-	if err := WriteFolded(&buf, profiler); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseFolded(&buf)
+	ts := httptest.NewServer(New(Config{Program: "test", Profiler: profiler}).Handler())
+	defer ts.Close()
+	parsed, err := trace.ParseFolded(strings.NewReader(get(t, ts.URL+"/profile/flame")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,24 +33,34 @@ func TestFoldedRoundTrip(t *testing.T) {
 	if sum != res.Stats.Cycles {
 		t.Errorf("folded weights sum to %d, Stats.Cycles = %d", sum, res.Stats.Cycles)
 	}
-	// Cross-check one symbol against the flat profile.
+	// Cross-check every symbol against the flat profile.
+	sanitize := strings.NewReplacer(";", "_", " ", "_")
 	for _, row := range profiler.Flat() {
 		space := "user"
 		if row.Kernel {
 			space = "kernel"
 		}
-		if got := parsed[space+";"+foldedFrame(row.Name)]; got != row.Cycles {
+		if got := parsed[space+";"+sanitize.Replace(row.Name)]; got != row.Cycles {
 			t.Errorf("symbol %s: folded %d, flat %d", row.Name, got, row.Cycles)
 		}
 	}
 }
 
+// TestParseFoldedRejectsGarbage checks a corrupted /profile/flame
+// download is detected rather than silently under-counted: the served
+// body parses, and the same body with a garbage line appended does not.
 func TestParseFoldedRejectsGarbage(t *testing.T) {
-	if _, err := ParseFolded(strings.NewReader("nocount\n")); err == nil {
-		t.Error("line without count accepted")
+	_, _, profiler, _ := runCorpus(t, "calc")
+	ts := httptest.NewServer(New(Config{Program: "test", Profiler: profiler}).Handler())
+	defer ts.Close()
+	body := get(t, ts.URL+"/profile/flame")
+	if _, err := trace.ParseFolded(strings.NewReader(body)); err != nil {
+		t.Fatalf("served flame body does not parse: %v", err)
 	}
-	if _, err := ParseFolded(strings.NewReader("a;b notanumber\n")); err == nil {
-		t.Error("non-numeric count accepted")
+	for _, garbage := range []string{"nocount\n", "a;b notanumber\n"} {
+		if _, err := trace.ParseFolded(strings.NewReader(body + garbage)); err == nil {
+			t.Errorf("flame body + %q accepted", garbage)
+		}
 	}
 }
 

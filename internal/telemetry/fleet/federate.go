@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mips/internal/trace"
 )
 
 // Federation turns one mipsd into a coordinator: it scrapes /metrics
@@ -405,7 +407,7 @@ func (f *Federation) WriteMergedMetrics(w io.Writer, local func(io.Writer) error
 // skipped, never fatal.
 func (f *Federation) MergedFolded(local map[string]uint64) (map[string]uint64, int) {
 	merged := make(map[string]uint64, len(local))
-	MergeFolded(merged, local)
+	trace.MergeFolded(merged, local)
 	failed := 0
 	for _, peer := range f.Peers() {
 		resp, err := f.client.Get(peer + "/profile/flame?scope=fleet")
@@ -420,14 +422,14 @@ func (f *Federation) MergedFolded(local map[string]uint64) (map[string]uint64, i
 			failed++
 			continue
 		}
-		m, err := ParseFolded(resp.Body)
+		m, err := trace.ParseFolded(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			f.scrapeErrs.Add(1)
 			failed++
 			continue
 		}
-		MergeFolded(merged, m)
+		trace.MergeFolded(merged, m)
 	}
 	return merged, failed
 }

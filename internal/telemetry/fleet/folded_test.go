@@ -2,55 +2,62 @@ package fleet
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
+
+	"mips/internal/trace"
 )
 
+// TestFoldedRoundTrip checks the folded stacks a peer renders with
+// trace.WriteFolded come back unchanged through the federation's scrape
+// and parse of its fleet flamegraph.
 func TestFoldedRoundTrip(t *testing.T) {
 	m := map[string]uint64{
 		"user;main":       100,
-		"user;helper":     100, // ties break by stack name
+		"user;helper":     100,
 		"kernel;<kernel>": 7,
 	}
 	var buf bytes.Buffer
-	if err := WriteFolded(&buf, m); err != nil {
+	if err := trace.WriteFolded(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	want := "user;helper 100\nuser;main 100\nkernel;<kernel> 7\n"
-	if buf.String() != want {
-		t.Errorf("folded output:\n%s\nwant:\n%s", buf.String(), want)
-	}
-	back, err := ParseFolded(&buf)
-	if err != nil {
+	peer := fakeWorker(t, "", buf.String())
+	fed := NewFederation(0)
+	if _, err := fed.AddPeer(peer.URL); err != nil {
 		t.Fatal(err)
+	}
+	back, failed := fed.MergedFolded(nil)
+	if failed != 0 {
+		t.Fatalf("failed = %d, want 0", failed)
 	}
 	if !reflect.DeepEqual(back, m) {
 		t.Errorf("round trip = %v, want %v", back, m)
 	}
 }
 
+// TestParseFoldedErrors checks a peer serving malformed folded text is
+// counted as failed and merges nothing, while blank lines are tolerated
+// and duplicate stacks sum.
 func TestParseFoldedErrors(t *testing.T) {
-	if _, err := ParseFolded(strings.NewReader("nocount\n")); err == nil {
-		t.Error("line without a count must error")
+	noCount := fakeWorker(t, "", "nocount\n")
+	badCount := fakeWorker(t, "", "stack notanumber\n")
+	dup := fakeWorker(t, "", "\nuser;f 1\n\nuser;f 2\n")
+	fed := NewFederation(0)
+	for _, ts := range []*httptest.Server{noCount, badCount, dup} {
+		if _, err := fed.AddPeer(ts.URL); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := ParseFolded(strings.NewReader("stack notanumber\n")); err == nil {
-		t.Error("non-numeric count must error")
+	merged, failed := fed.MergedFolded(nil)
+	if failed != 2 {
+		t.Errorf("failed = %d, want 2 (line without a count, non-numeric count)", failed)
 	}
-	// Blank lines are tolerated; duplicate stacks sum.
-	m, err := ParseFolded(strings.NewReader("\nuser;f 1\n\nuser;f 2\n"))
-	if err != nil {
-		t.Fatal(err)
+	if fed.ScrapeErrors() != 2 {
+		t.Errorf("scrape errors = %d, want 2", fed.ScrapeErrors())
 	}
-	if m["user;f"] != 3 {
-		t.Errorf("duplicate stacks = %d, want summed 3", m["user;f"])
-	}
-}
-
-func TestMergeFolded(t *testing.T) {
-	dst := map[string]uint64{"a;b": 1}
-	MergeFolded(dst, map[string]uint64{"a;b": 2, "c;d": 3})
-	if dst["a;b"] != 3 || dst["c;d"] != 3 {
-		t.Errorf("merge = %v", dst)
+	want := map[string]uint64{"user;f": 3}
+	if !reflect.DeepEqual(merged, want) {
+		t.Errorf("merged = %v, want %v (duplicate stacks summed, bad peers skipped)", merged, want)
 	}
 }

@@ -54,7 +54,8 @@ type Config struct {
 	// its argv).
 	Program string
 	Args    []string
-	// Engine names the execution engine: "fast" or "reference".
+	// Engine names the execution engine: "reference", "fast", "blocks"
+	// or "traces" (the default).
 	Engine string
 
 	// Tracer, if non-nil, backs /trace/stream.
@@ -133,7 +134,7 @@ func New(cfg Config) *Server {
 		cfg.Heartbeat = time.Second
 	}
 	if cfg.Engine == "" {
-		cfg.Engine = "fast"
+		cfg.Engine = "traces"
 	}
 	if cfg.Profiler != nil {
 		cfg.Profiler.Share()

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -320,6 +322,61 @@ func (p *Profiler) Folded() map[string]uint64 {
 func foldedFrameName(name string) string {
 	name = strings.ReplaceAll(name, ";", "_")
 	return strings.ReplaceAll(name, " ", "_")
+}
+
+// WriteFolded renders a folded map as flamegraph text, one
+// "frame;frame count" line per stack — the format flamegraph.pl and
+// compatible viewers (e.g. speedscope) read. The order is
+// deterministic: heaviest stack first, ties broken by stack name.
+func WriteFolded(w io.Writer, m map[string]uint64) error {
+	stacks := make([]string, 0, len(m))
+	for s := range m {
+		stacks = append(stacks, s)
+	}
+	sort.Slice(stacks, func(i, j int) bool {
+		if m[stacks[i]] != m[stacks[j]] {
+			return m[stacks[i]] > m[stacks[j]]
+		}
+		return stacks[i] < stacks[j]
+	})
+	for _, s := range stacks {
+		if _, err := fmt.Fprintf(w, "%s %d\n", s, m[s]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ParseFolded reads folded-stack text back into stack -> weight, the
+// inverse of WriteFolded. Blank lines are skipped and repeated stacks
+// sum.
+func ParseFolded(r io.Reader) (map[string]uint64, error) {
+	out := map[string]uint64{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			return nil, fmt.Errorf("trace: folded line %q has no count", line)
+		}
+		n, err := strconv.ParseUint(line[i+1:], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: folded line %q: %w", line, err)
+		}
+		out[line[:i]] += n
+	}
+	return out, sc.Err()
+}
+
+// MergeFolded sums src into dst: identical stacks from many profiles
+// add up, so one flamegraph shows where a whole fleet's cycles went.
+func MergeFolded(dst, src map[string]uint64) {
+	for stack, n := range src {
+		dst[stack] += n
+	}
 }
 
 // display names a row for the report; kernel-space symbols carry a "k:"

@@ -22,4 +22,9 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+# perfbench is its own module (the repository's benchmark) and imports
+# the sim facade, so the module-wide commands above never compile it.
+echo "==> perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "OK"
