@@ -118,7 +118,8 @@ func CanPack(alu, mem *Piece) bool {
 	// A load packed with an ALU piece that reads the loaded register
 	// would read the stale value; keep such pairs apart.
 	if mem.Kind == PieceLoad && mok {
-		for _, u := range alu.Uses(nil) {
+		var buf [MaxUses]Reg
+		for _, u := range alu.Uses(buf[:0]) {
 			if u == md {
 				return false
 			}
@@ -131,20 +132,24 @@ func CanPack(alu, mem *Piece) bool {
 // order. It returns false if the pieces cannot share a word. Commutative
 // ALU pieces whose destination matches the second source are swapped
 // into the two-address form the packed half encodes.
+//
+// A failed attempt allocates nothing: the packer tries many pairs in its
+// inner loop.
 func Pack(a, b Piece) (Instr, bool) {
 	a = normalizePacked(a)
 	b = normalizePacked(b)
-	try := func(alu, mem Piece) (Instr, bool) {
-		if CanPack(&alu, &mem) {
-			return Instr{ALU: &alu, Mem: &mem}, true
-		}
-		return Instr{}, false
+	switch {
+	case CanPack(&a, &b):
+		return packed(a, b), true
+	case CanPack(&b, &a):
+		return packed(b, a), true
 	}
-	if in, ok := try(a, b); ok {
-		return in, ok
-	}
-	return try(b, a)
+	return Instr{}, false
 }
+
+// packed builds the two-piece word; only here do the pieces move to the
+// heap.
+func packed(alu, mem Piece) Instr { return Instr{ALU: &alu, Mem: &mem} }
 
 // normalizePacked swaps the sources of a commutative ALU piece when that
 // turns it into the packable dst-equals-first-source form.

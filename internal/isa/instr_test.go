@@ -227,3 +227,31 @@ func TestImageDeterministicEncoding(t *testing.T) {
 		t.Error("image encoding is not deterministic")
 	}
 }
+
+// TestPackFailureAllocatesNothing pins that a rejected packing attempt,
+// in either argument order and for every rejection reason, makes no heap
+// allocation: the reorganizer and the assembler try pairs in their inner
+// loops.
+func TestPackFailureAllocatesNothing(t *testing.T) {
+	ld := LoadDisp(1, RegSP, 0)
+	pairs := [][2]Piece{
+		{ALU(OpAdd, 2, R(1), R(3)), ld},                      // load feeds the ALU piece
+		{ALU(OpAdd, 1, R(2), R(3)), ld},                      // conflicting writes
+		{ALU(OpAdd, 1, R(1), R(3)), LoadDisp(4, RegSP, 100)}, // wide displacement
+		{ALU(OpAdd, 1, R(1), R(3)), ALU(OpSub, 2, R(2), R(3))},
+		{Branch(CmpEQ, R(1), R(2), "x"), StoreDisp(1, RegSP, 0)},
+	}
+	for _, pr := range pairs {
+		a, b := pr[0], pr[1]
+		if _, ok := Pack(a, b); ok {
+			t.Fatalf("%s | %s packed", &a, &b)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			Pack(a, b)
+			Pack(b, a)
+			CanPack(&a, &b)
+		}); n != 0 {
+			t.Errorf("%s | %s: %v allocs per failed attempt, want 0", &a, &b, n)
+		}
+	}
+}

@@ -414,6 +414,11 @@ func (p *Piece) Defs() (Reg, bool) {
 	return 0, false
 }
 
+// MaxUses is the most general registers one piece reads (an indexed
+// store: base, index and data), so a [MaxUses]Reg buffer holds any
+// Uses result without allocating.
+const MaxUses = 3
+
 // Uses appends the general registers read by the piece to dst and
 // returns the extended slice.
 func (p *Piece) Uses(dst []Reg) []Reg {

@@ -5,38 +5,23 @@ import (
 	"mips/internal/isa"
 )
 
-// block is a maximal straight-line statement sequence: it starts at a
-// label (or the unit head) and ends at a control transfer or just before
-// the next label. NoReorg statements form blocks of their own that the
-// scheduler passes through.
-type block struct {
-	labels  []string
-	stmts   []asm.Stmt
-	noReorg bool
-}
-
-// splitBlocks partitions statements into basic blocks. Reorganization is
-// done strictly within blocks (paper §4.2.1: "All code reorganization is
-// done on a basic block basis").
-func splitBlocks(stmts []asm.Stmt) []block {
-	var blocks []block
-	cur := -1 // index of the open block, or -1
-
-	for _, s := range stmts {
-		isLeader := len(s.Labels) > 0
-		if cur < 0 || isLeader || s.NoReorg != blocks[cur].noReorg {
-			blocks = append(blocks, block{labels: s.Labels, noReorg: s.NoReorg})
-			cur = len(blocks) - 1
+// blockEnd returns the end (exclusive) of the basic block starting at
+// stmts[start]: a maximal straight-line sequence that starts at a label
+// (or the unit head) and ends at a control transfer or just before the
+// next label. NoReorg statements form blocks of their own that the
+// scheduler passes through. Reorganization is done strictly within
+// blocks (paper §4.2.1: "All code reorganization is done on a basic
+// block basis"), and only a block's first statement can carry labels.
+func blockEnd(stmts []asm.Stmt, start int) int {
+	noReorg := stmts[start].NoReorg
+	for i := start; ; i++ {
+		if stmtControl(&stmts[i]) != nil {
+			return i + 1
 		}
-		// Strip the labels (now owned by the block) from the statement.
-		sc := s
-		sc.Labels = nil
-		blocks[cur].stmts = append(blocks[cur].stmts, sc)
-		if stmtControl(&sc) != nil {
-			cur = -1
+		if next := i + 1; next == len(stmts) || len(stmts[next].Labels) > 0 || stmts[next].NoReorg != noReorg {
+			return next
 		}
 	}
-	return blocks
 }
 
 // stmtControl returns the control-flow piece of a statement, if any.
@@ -63,8 +48,9 @@ func maskOf(r isa.Reg) regMask { return 1 << r }
 
 // pieceUses returns the registers a piece reads.
 func pieceUses(p *isa.Piece) regMask {
+	var buf [isa.MaxUses]isa.Reg
 	var m regMask
-	for _, r := range p.Uses(nil) {
+	for _, r := range p.Uses(buf[:0]) {
 		m |= maskOf(r)
 	}
 	if p.ReadsLo() {

@@ -1,7 +1,7 @@
 package reorg
 
 import (
-	"fmt"
+	"strconv"
 
 	"mips/internal/asm"
 	"mips/internal/isa"
@@ -21,43 +21,55 @@ import (
 //     predecessors (no label), is side-effect free, and its result is
 //     dead on the taken path.
 //
+// Neither scheme touches .noreorg code: a slot is skipped when its
+// transfer or the slot itself is NoReorg, and no word is duplicated or
+// hoisted out of such a region.
+//
 // The pass iterates to a fixpoint since each fill changes the layout;
-// the bound is the number of delay slots, so it always terminates.
+// the bound is the number of delay slots, so it always terminates. Each
+// round rescans from the first statement, and one liveness table is
+// kept current across the rounds.
 func fillDelaysGlobal(u *asm.Unit, st *Stats) {
+	f := &filler{u: u, lv: computeLiveness(u)}
 	for pass := 0; pass <= len(u.Stmts); pass++ {
-		if !fillOnce(u, st) {
+		if !f.fillOnce(st) {
 			return
 		}
 	}
 }
 
-func fillOnce(u *asm.Unit, st *Stats) bool {
-	lv := computeLiveness(u)
-	for i := 0; i < len(u.Stmts); i++ {
-		s := &u.Stmts[i]
-		ctrl := stmtControl(s)
-		if ctrl == nil || ctrl.Delay() != 1 {
+// filler is the state of one unit's delay pass.
+type filler struct {
+	u  *asm.Unit
+	lv *liveness
+	// next is the lowest N a fresh ".d2.N" label may take: labels are
+	// only ever added, so every lower name is already in use.
+	next int
+}
+
+// fillOnce fills the first fillable delay slot and reports whether it
+// found one.
+func (f *filler) fillOnce(st *Stats) bool {
+	rows := f.lv.rows
+	for i := 0; i+1 < len(rows); i++ {
+		r, slot := &rows[i], &rows[i+1]
+		if r.delay != 1 || !slot.nop || slot.labeled || r.noReorg || slot.noReorg {
 			continue
 		}
-		if i+1 >= len(u.Stmts) || !isNopStmt(&u.Stmts[i+1]) || len(u.Stmts[i+1].Labels) > 0 {
-			continue
-		}
-		switch ctrl.Kind {
+		switch r.ctrl {
 		case isa.PieceJump, isa.PieceCall:
-			if duplicateTarget(u, i, ctrl, false, lv) {
+			if f.duplicateTarget(i, false) {
 				st.DelayFilled++
 				st.SchemeLoop++
 				return true
 			}
 		case isa.PieceBranch:
-			if target, ok := lv.labelStmt[ctrl.Label]; ok && target <= i {
-				if duplicateTarget(u, i, ctrl, true, lv) {
-					st.DelayFilled++
-					st.SchemeLoop++
-					return true
-				}
+			if r.target >= 0 && int(r.target) <= i && f.duplicateTarget(i, true) {
+				st.DelayFilled++
+				st.SchemeLoop++
+				return true
 			}
-			if hoistFallThrough(u, i, ctrl, lv) {
+			if f.hoistFallThrough(i) {
 				st.DelayFilled++
 				st.SchemeHoist++
 				return true
@@ -67,22 +79,19 @@ func fillOnce(u *asm.Unit, st *Stats) bool {
 	return false
 }
 
-func isNopStmt(s *asm.Stmt) bool {
-	return len(s.Pieces) == 1 && s.Pieces[0].IsNop()
-}
-
 // duplicateTarget implements scheme 2: copy the transfer target's first
 // word into the delay slot at branchIdx+1 and retarget the control piece
 // past it. For a conditional branch the duplicate also executes on the
 // fall-through path, so it must be side-effect free with a dead result
 // there; an unconditional transfer has no such path.
-func duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bool, lv *liveness) bool {
-	ti, ok := lv.labelStmt[ctrl.Label]
-	if !ok || ti+1 >= len(u.Stmts) {
+func (f *filler) duplicateTarget(branchIdx int, conditional bool) bool {
+	u, lv := f.u, f.lv
+	ti := int(lv.rows[branchIdx].target)
+	if ti < 0 || ti+1 >= len(u.Stmts) {
 		return false
 	}
-	w0 := &u.Stmts[ti]
-	if stmtControl(w0) != nil || isNopStmt(w0) {
+	w0 := &lv.rows[ti]
+	if w0.ctrl != isa.PieceNop || w0.nop || w0.noReorg {
 		return false
 	}
 	// Duplicating the word that is the branch itself or its slot would
@@ -90,33 +99,27 @@ func duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bo
 	if ti == branchIdx || ti == branchIdx+1 {
 		return false
 	}
-	if conditional {
-		for i := range w0.Pieces {
-			if !sideEffectFree(&w0.Pieces[i]) {
-				return false
-			}
-		}
-		// The result must be dead on the fall-through path, which begins
-		// right after the delay slot.
-		if stmtDefs(w0)&lv.liveAt(branchIdx+2) != 0 {
-			return false
-		}
+	// The result must be dead on the fall-through path, which begins
+	// right after the delay slot.
+	if conditional && (!w0.speculable || w0.defs&lv.liveAt(branchIdx+2) != 0) {
+		return false
 	}
 	// A load may not sit in the delay slot if the retargeted first word
 	// reads it in the very next cycle — the original code had the same
 	// adjacency, so it is already spaced; loads are still rejected for
-	// conditional duplicates by sideEffectFree above.
+	// conditional duplicates by the speculability test above.
 
 	// Install the duplicate and retarget past it.
-	slot := &u.Stmts[branchIdx+1]
-	slot.Pieces = clonePieces(w0.Pieces)
-	newLabel := labelFor(u, ti+1)
-	// Find the control piece inside the statement and retarget it.
-	for i := range u.Stmts[branchIdx].Pieces {
-		if u.Stmts[branchIdx].Pieces[i].IsControl() {
-			u.Stmts[branchIdx].Pieces[i].Label = newLabel
+	u.Stmts[branchIdx+1].Pieces = clonePieces(u.Stmts[ti].Pieces)
+	lv.setRow(u, branchIdx+1)
+	newLabel := f.labelFor(ti + 1)
+	ps := u.Stmts[branchIdx].Pieces
+	for i := range ps {
+		if ps[i].IsControl() {
+			ps[i].Label = newLabel
 		}
 	}
+	lv.retarget(branchIdx, ti+1)
 	return true
 }
 
@@ -124,30 +127,25 @@ func duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bo
 // slot into the slot. It then executes on both paths, so it must be
 // side-effect free, its result dead at the branch target, and it must
 // have no other predecessors.
-func hoistFallThrough(u *asm.Unit, branchIdx int, ctrl *isa.Piece, lv *liveness) bool {
+func (f *filler) hoistFallThrough(branchIdx int) bool {
+	u, lv := f.u, f.lv
 	fi := branchIdx + 2
 	if fi >= len(u.Stmts) {
 		return false
 	}
-	f0 := &u.Stmts[fi]
-	if len(f0.Labels) > 0 || stmtControl(f0) != nil || isNopStmt(f0) {
+	f0 := &lv.rows[fi]
+	if f0.labeled || f0.ctrl != isa.PieceNop || f0.nop || f0.noReorg || !f0.speculable {
 		return false
 	}
-	for i := range f0.Pieces {
-		if !sideEffectFree(&f0.Pieces[i]) {
-			return false
-		}
-	}
-	ti, ok := lv.labelStmt[ctrl.Label]
-	if !ok {
-		return false
-	}
-	if stmtDefs(f0)&lv.liveAt(ti) != 0 {
+	ti := int(lv.rows[branchIdx].target)
+	if ti < 0 || f0.defs&lv.liveAt(ti) != 0 {
 		return false
 	}
 	// Move: the slot takes f0's pieces; f0 is deleted.
-	u.Stmts[branchIdx+1].Pieces = f0.Pieces
+	u.Stmts[branchIdx+1].Pieces = u.Stmts[fi].Pieces
 	u.Stmts = append(u.Stmts[:fi], u.Stmts[fi+1:]...)
+	lv.deleteRow(fi)
+	lv.setRow(u, branchIdx+1)
 	return true
 }
 
@@ -159,29 +157,22 @@ func clonePieces(ps []isa.Piece) []isa.Piece {
 
 // labelFor returns a label bound to statement index i, creating a fresh
 // one if none exists.
-func labelFor(u *asm.Unit, i int) string {
-	if len(u.Stmts[i].Labels) > 0 {
-		return u.Stmts[i].Labels[0]
+func (f *filler) labelFor(i int) string {
+	s := &f.u.Stmts[i]
+	if len(s.Labels) > 0 {
+		return s.Labels[0]
 	}
-	for n := 0; ; n++ {
-		name := fmt.Sprintf(".d2.%d", n)
-		if !labelExists(u, name) {
-			u.Stmts[i].Labels = append(u.Stmts[i].Labels, name)
-			return name
+	for ; ; f.next++ {
+		name := ".d2." + strconv.Itoa(f.next)
+		if _, ok := f.lv.labels[name]; ok {
+			continue
 		}
-	}
-}
-
-func labelExists(u *asm.Unit, name string) bool {
-	for i := range u.Stmts {
-		for _, l := range u.Stmts[i].Labels {
-			if l == name {
-				return true
-			}
+		if _, ok := f.u.DataLabels[name]; ok {
+			continue
 		}
+		f.next++
+		s.Labels = []string{name}
+		f.lv.addLabel(name, i)
+		return name
 	}
-	if _, ok := u.DataLabels[name]; ok {
-		return true
-	}
-	return false
 }

@@ -82,14 +82,15 @@ func Reorganize(u *asm.Unit, opt Options) (*asm.Unit, Stats) {
 		}
 	}
 
-	blocks := splitBlocks(u.Stmts)
-	var scheduled []asm.Stmt
-	for _, b := range blocks {
-		scheduled = append(scheduled, scheduleBlock(b, opt, &st)...)
+	s := newScheduler(opt, &st, len(u.Stmts))
+	for start := 0; start < len(u.Stmts); {
+		end := blockEnd(u.Stmts, start)
+		s.block(u.Stmts[start:end])
+		start = end
 	}
 
 	out := &asm.Unit{
-		Stmts:      scheduled,
+		Stmts:      s.out,
 		Data:       append([]asm.DataItem(nil), u.Data...),
 		DataLabels: u.DataLabels,
 		Entry:      u.Entry,
@@ -100,12 +101,12 @@ func Reorganize(u *asm.Unit, opt Options) (*asm.Unit, Stats) {
 	}
 
 	for i := range out.Stmts {
-		s := &out.Stmts[i]
+		w := &out.Stmts[i]
 		st.OutputWords++
-		if len(s.Pieces) == 2 {
+		if len(w.Pieces) == 2 {
 			st.PackedWords++
 		}
-		if len(s.Pieces) == 1 && s.Pieces[0].IsNop() {
+		if isNopStmt(w) {
 			st.Nops++
 		}
 	}

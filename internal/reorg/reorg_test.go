@@ -1,6 +1,7 @@
 package reorg
 
 import (
+	"fmt"
 	"testing"
 
 	"mips/internal/asm"
@@ -560,5 +561,76 @@ func TestEmptyAndTrivialUnits(t *testing.T) {
 	ro, _ = Reorganize(u, All())
 	if len(ro.Stmts) != 1 || len(ro.Stmts[0].Labels) != 1 {
 		t.Errorf("trivial unit mangled: %+v", ro.Stmts)
+	}
+}
+
+// noReorgLoop is a hand-scheduled loop whose delay slot the front end
+// left as a no-op on purpose. r1 is dead after the loop, so outside a
+// .noreorg region scheme 2 would fill the slot.
+const noReorgLoop = `
+	.noreorg
+loop:	add r1, #1, r1
+	add r2, #2, r2
+	blt r1, #8, loop
+	nop
+	.endnoreorg
+	mov #0, r1
+	trap #0
+`
+
+func TestNoReorgLoopNotFilled(t *testing.T) {
+	u, err := asm.Parse(noReorgLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, st := Reorganize(u, All())
+	// The region comes out exactly as written: its slot stays a no-op and
+	// its branch keeps its target.
+	region := func(u *asm.Unit) string { return fmt.Sprintf("%+v", u.Stmts[:4]) }
+	if len(ro.Stmts) < 4 || region(ro) != region(u) {
+		t.Errorf("noreorg loop modified:\n%s", dump(ro))
+	}
+	if st.DelayFilled != 0 || st.DelayFilled > st.DelaySlots {
+		t.Errorf("stats = %+v, want no delay slot filled", st)
+	}
+	for name, opt := range allOptionSets {
+		t.Run(name, func(t *testing.T) {
+			if c, _ := execute(t, noReorgLoop, opt); c.Regs[2] != 16 {
+				t.Errorf("r2 = %d, want 16", c.Regs[2])
+			}
+		})
+	}
+}
+
+// TestReorganizeLeavesInputUnchanged: units whose blocks pass through
+// (a .noreorg region, a pre-packed block) render the same before and
+// after Reorganize, even when the delay pass retargets a branch in the
+// output copy.
+func TestReorganizeLeavesInputUnchanged(t *testing.T) {
+	prepacked := `
+	.entry main
+main:	mov #0, r1
+loop:	add r1, #1, r1 | ld 3(sp), r2
+	blt r1, #8, loop
+	nop
+exit:	mov #0, r1
+	mov #0, r2
+	trap #0
+`
+	for name, src := range map[string]string{"noreorg": noReorgLoop, "prepacked": prepacked} {
+		t.Run(name, func(t *testing.T) {
+			u, err := asm.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := fmt.Sprintf("%+v", *u)
+			ro, st := Reorganize(u, All())
+			if after := fmt.Sprintf("%+v", *u); after != before {
+				t.Errorf("input modified:\nbefore %s\nafter  %s\noutput:\n%s", before, after, dump(ro))
+			}
+			if name == "prepacked" && st.SchemeLoop != 1 {
+				t.Errorf("stats = %+v, want the loop slot filled by scheme 2", st)
+			}
+		})
 	}
 }

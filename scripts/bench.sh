@@ -36,6 +36,8 @@ echo "==> core microbenchmarks"
 go test -run '^$' -bench \
     'PipelineSimulator|PipelineFastPath|PipelineReference|KernelBoot|DemandPaging|PageReplacement|FreeCycleDMA' \
     -benchmem -benchtime 1s .
+# informational, no gate: the reorganizer over all 44 corpus compilations
+go test -run '^$' -bench ReorganizeCorpus -benchmem -benchtime 1s ./internal/reorg/
 
 echo "==> corebench -> $out"
 go run ./cmd/paperbench -j 0 -core-json "$out" corebench > /dev/null
