@@ -5,10 +5,9 @@ package cpu
 // a block entry point, and the whole straight-line run up to and
 // including the next control transfer executes as one translated block
 // (blockcache.go) — per-word fetch, queue maintenance, and pipeline
-// bookkeeping replaced by a tight loop over flat records with the
-// block's statically known cost. Delay slots and anything the lean
-// paths cannot prove equivalent run on the exact per-instruction
-// engine: the reference interpreter remains the oracle, and every
+// bookkeeping replaced by one tight loop over flat records. Delay slots
+// and anything the lean paths cannot prove equivalent run on the exact
+// per-instruction engine: the reference interpreter remains the oracle, and every
 // deviation (fault, trap, interrupt, halt, invalidation, page-map
 // change) abandons the block at a precise instruction boundary.
 
@@ -124,174 +123,6 @@ func (c *CPU) leanALU(d *decoded, vpc uint32, ovfOn bool) bool {
 		c.lastWrite[d.aluDst] = c.seq
 	}
 	return false
-}
-
-// runPure executes a block whose body is nothing but nops and ALU
-// words, with the bulk accounting precomputed at translation time. The
-// caller has proved no step of the body can deviate: no loads are
-// pending (so reads are side-effect free and nothing commits mid-run),
-// no tickers or DMA exist (so no device can observe or perturb the
-// run), the interrupt line is low, and overflow cannot trap.
-func (c *CPU) runPure(b *block, n uint32) {
-	for i := uint32(0); i < n; i++ {
-		d := &b.code[i]
-		c.seq++
-		if d.bclass == bcNop {
-			continue
-		}
-		switch d.aluKind {
-		case isa.PieceALU:
-			a := d.a1.val
-			if !d.a1.imm {
-				a = c.Regs[d.a1.reg]
-			}
-			var bv uint32
-			if !d.aluUnary {
-				bv = d.a2.val
-				if !d.a2.imm {
-					bv = c.Regs[d.a2.reg]
-				}
-			}
-			var dstVal uint32
-			if d.aluDstRead {
-				dstVal = c.Regs[d.aluDst]
-			}
-			v, lo, _ := aluEval(d.aluOp, a, bv, dstVal, c.Lo)
-			if d.aluOp == isa.OpMovLo {
-				c.Lo = lo
-			} else {
-				c.Regs[d.aluDst] = v
-				c.lastWrite[d.aluDst] = c.seq
-			}
-		case isa.PieceSetCond:
-			a := d.a1.val
-			if !d.a1.imm {
-				a = c.Regs[d.a1.reg]
-			}
-			bv := d.a2.val
-			if !d.a2.imm {
-				bv = c.Regs[d.a2.reg]
-			}
-			var v uint32
-			if d.aluCmp.Eval(a, bv) {
-				v = 1
-			}
-			c.Regs[d.aluDst] = v
-			c.lastWrite[d.aluDst] = c.seq
-		}
-	}
-	// Bulk accounting from the translation-time cost: one cycle per
-	// word, every data-memory cycle free (no DMA exists to claim them).
-	c.Stats.Instructions += uint64(n)
-	c.Stats.Cycles += uint64(n)
-	c.Stats.Pieces += b.sPieces
-	c.Stats.Nops += b.sNops
-	c.Stats.FreeCycles += uint64(n)
-}
-
-// runQuiet executes a block body in the quiet configuration (no DMA,
-// no tickers, unmapped, no memory hook, no interrupt pending): the
-// per-word environmental checks of the general loop are provably dead,
-// and with no tickers every Bus.Tick is a no-op and is omitted. It
-// reports false when the block bailed (fault, halt, invalidation, or an
-// exact-executor word that redirected the queue) with the fetch queue
-// already pointing at the resume address.
-func (c *CPU) runQuiet(b *block, pc uint32, ovfOn bool) bool {
-	n := b.n
-	for i := uint32(0); i < n; i++ {
-		d := &b.code[i]
-		c.seq++
-		if c.pendN != 0 {
-			c.commitLoads()
-		}
-		switch d.bclass {
-		case bcNop:
-			if k := uint64(d.nopRun); k > 1 && c.pendN == 0 {
-				c.seq += k - 1
-				c.Stats.Instructions += k
-				c.Stats.Cycles += k
-				c.Stats.Nops += k
-				c.Stats.FreeCycles += k
-				i += uint32(k) - 1
-				continue
-			}
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.Nops++
-			c.Stats.FreeCycles++
-		case bcALU:
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.FreeCycles++
-			if c.leanALU(d, pc+i, ovfOn) {
-				c.bailFault(pc+i, isa.CauseOverflow)
-				return false
-			}
-		case bcLoad:
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.Pieces++
-			if d.mode == isa.AModeLongImm {
-				c.Regs[d.data] = uint32(d.disp)
-				c.lastWrite[d.data] = c.seq
-				c.Stats.FreeCycles++
-				break
-			}
-			addr := c.leanAddr(d, pc+i)
-			v, f := c.Bus.Read(addr, false)
-			if f != nil {
-				c.Stats.DataCycles++
-				c.bailFault(pc+i, f.Cause)
-				return false
-			}
-			c.Stats.Loads++
-			c.Stats.DataCycles++
-			if d.flags&fEager != 0 {
-				c.Regs[d.data] = v
-				c.lastWrite[d.data] = c.seq
-			} else {
-				c.writeLoad(d.data, v)
-			}
-		case bcStore:
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.Pieces++
-			addr := c.leanAddr(d, pc+i)
-			val := c.leanRead(d.data, pc+i)
-			if f := c.Bus.Write(addr, val, false); f != nil {
-				c.Stats.DataCycles++
-				c.bailFault(pc+i, f.Cause)
-				return false
-			}
-			c.Stats.Stores++
-			c.Stats.DataCycles++
-			if c.Halted {
-				c.pcq[0], c.pcn = pc+i+1, 1
-				c.Trans.BlockBails++
-				return false
-			}
-			if !b.valid {
-				c.pcq[0], c.pcn = pc+i+1, 1
-				c.Trans.BlockBails++
-				return false
-			}
-		default:
-			vpc := pc + i
-			c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-			c.pcn = 2
-			c.execFast(d, vpc)
-			if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
-				c.Trans.BlockBails++
-				return false
-			}
-			if !b.valid {
-				c.pcq[0], c.pcn = vpc+1, 1
-				c.Trans.BlockBails++
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // blockStep runs one exact per-instruction step with the full Step
@@ -423,22 +254,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 		n := b.n
 		exc0 := c.excSeq
 
-		if b.pure && n > 0 && c.pendN == 0 && !c.intLine &&
-			!dmaOn && !doTick && !(ovfOn && b.hasOvf) {
-			c.runPure(b, n)
-		} else if n > 0 && !dmaOn && !doTick && !mapped && c.onMem == nil &&
-			!(c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()) {
-			// Quiet configuration: no DMA to offer cycles to, no ticker
-			// to advance, no mapping generation to track, no memory
-			// hook, and no interrupt pending. Nothing can raise the
-			// line or remap mid-body, so the per-word environmental
-			// checks vanish; only stores (which can invalidate this
-			// block or hit a halt device) and exact-executor words keep
-			// their exit checks.
-			if !c.runQuiet(b, pc, ovfOn) {
-				return b, true
-			}
-		} else if n > 0 {
+		if n > 0 {
 			intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
 			for i := uint32(0); i < n; i++ {
 				vpc := pc + i
@@ -455,22 +271,6 @@ func (c *CPU) runBlocks() (*block, bool) {
 				d := &b.code[i]
 				switch d.bclass {
 				case bcNop:
-					// A run of nops retires in bulk when nothing can
-					// observe the intermediate cycles: no DMA to offer
-					// them to, no ticker to advance, no pending load
-					// whose commit lands mid-run. Nops cannot fault,
-					// write, or invalidate anything, and without
-					// tickers no interrupt can rise inside the run.
-					if k := uint64(d.nopRun); k > 1 && !dmaOn && !doTick &&
-						c.pendN == 0 {
-						c.seq += k - 1
-						c.Stats.Instructions += k
-						c.Stats.Cycles += k
-						c.Stats.Nops += k
-						c.Stats.FreeCycles += k
-						i += uint32(k) - 1
-						continue
-					}
 					c.Stats.Instructions++
 					c.Stats.Cycles++
 					c.Stats.Nops++

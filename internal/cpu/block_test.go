@@ -221,3 +221,90 @@ func TestBlockEngineToggle(t *testing.T) {
 		t.Errorf("r2 = %d, want 1500", c.Regs[2])
 	}
 }
+
+// haltDevice is a non-ticking memory-mapped device whose register
+// write stops the processor, like a halt port.
+type haltDevice struct {
+	c  *CPU
+	pa uint32
+}
+
+func (d haltDevice) Contains(phys uint32) bool { return phys == d.pa }
+func (d haltDevice) ReadWord(uint32) uint32    { return 0 }
+func (d haltDevice) WriteWord(uint32, uint32)  { d.c.Halt() }
+
+// TestBlockBodyExits drives the two exits from the middle of a block
+// body that ordinary programs never take: an ALU word that raises
+// arithmetic overflow, and a store that halts the machine through a
+// device. Each must leave the superblock at the exact instruction
+// boundary the reference interpreter stops at, on the block tier and
+// the trace tier alike.
+func TestBlockBodyExits(t *testing.T) {
+	const haltPort = 0x100
+	for _, tc := range []struct {
+		name  string
+		words []isa.Instr
+		entry uint32
+		setup func(c *CPU)
+	}{
+		{
+			// An all-ALU body whose middle add overflows with the trap
+			// enabled; the handler at word 0 halts.
+			name: "alu-overflow",
+			words: []isa.Instr{
+				halt,                      // 0: overflow handler
+				w(isa.Mov(3, isa.Imm(5))), // 1: body
+				w(isa.ALU(isa.OpAdd, 2, isa.R(1), isa.Imm(1))), // 2: overflows
+				w(isa.Mov(4, isa.Imm(6))),                      // 3: never runs
+				halt,                                           // 4: terminator
+			},
+			entry: 1,
+			setup: func(c *CPU) {
+				c.Regs[1] = 0x7FFFFFFF
+				c.Sur = c.Sur.SetOverflow(true)
+			},
+		},
+		{
+			// A store in the middle of the body hits the halt port; the
+			// store completes and nothing after it runs.
+			name: "halt-store",
+			words: []isa.Instr{
+				w(isa.Mov(1, isa.Imm(7))),    // 0: body
+				w(isa.StoreAbs(1, haltPort)), // 1: halts the machine
+				w(isa.Mov(2, isa.Imm(9))),    // 2: never runs
+				halt,                         // 3: terminator
+			},
+			setup: func(c *CPU) {
+				c.Bus.Attach(haltDevice{c: c, pa: haltPort})
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(tier Tier) *CPU {
+				c := newTestCPU(tc.words...)
+				tc.setup(c)
+				c.SetPC(tc.entry)
+				c.SetTier(tier)
+				run(t, c, 1_000)
+				return c
+			}
+			ref := build(TierReference)
+			for _, tier := range []Tier{TierBlocks, TierTraces} {
+				c := build(tier)
+				if c.Regs != ref.Regs {
+					t.Errorf("%v: registers diverge:\n got %v\n ref %v", tier, c.Regs, ref.Regs)
+				}
+				if c.Stats != ref.Stats {
+					t.Errorf("%v: stats diverge:\n got %+v\n ref %+v", tier, c.Stats, ref.Stats)
+				}
+				if c.Ret != ref.Ret || c.PC() != ref.PC() {
+					t.Errorf("%v: resume state diverges: ret %v pc %d, ref ret %v pc %d",
+						tier, c.Ret, c.PC(), ref.Ret, ref.PC())
+				}
+				if tier == TierBlocks && c.Trans.BlockBails == 0 {
+					t.Errorf("%v: the block body never bailed", tier)
+				}
+			}
+		})
+	}
+}

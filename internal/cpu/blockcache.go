@@ -6,10 +6,9 @@ package cpu
 // coherence machinery:
 //
 //   - translateBlock scans instruction memory from a block entry point
-//     up to the next control transfer and builds the flat block record,
-//     including the statically precomputed execution cost (on a pipeline
-//     with no hardware interlocks the cycle and stall cost of
-//     straight-line code is fully determined at translation time);
+//     up to the next control transfer and builds the flat block record:
+//     one lean-classified record per body word, the cached terminator
+//     and delay slots, and the eager-load marks;
 //   - a direct-mapped cache keyed by physical entry address holds the
 //     blocks, with the same per-word identity validation the predecode
 //     cache uses (stepBlocks compares every cached source word against
@@ -65,7 +64,7 @@ const (
 
 // block is one translated superblock: a straight-line run of body words
 // (everything up to, but not including, the next control transfer) plus
-// its statically precomputed cost and chain slots to successor blocks.
+// its cached exit records and chain slots to successor blocks.
 type block struct {
 	pa uint32 // physical address of the first body word
 	n  uint32 // body length in words (0: the entry word is a terminator)
@@ -89,16 +88,6 @@ type block struct {
 	hasTerm bool
 	cover   uint32
 
-	// Statically precomputed execution cost: each body word is exactly
-	// one cycle (no hardware interlocks, so straight-line code cannot
-	// stall), every body word's data-memory slot usage is known at
-	// translation time, and the piece/nop totals are fixed. A pure
-	// block bulk-adds these instead of counting per word.
-	sPieces uint64
-	sNops   uint64
-
-	pure     bool // body is all bcNop/bcALU: eligible for the bulk path
-	hasOvf   bool // some ALU word can raise arithmetic overflow
 	termless bool // the scan hit a size/page limit, not a real terminator
 	valid    bool
 	liveIdx  int // index in CPU.liveBlocks, for swap-removal
@@ -249,11 +238,6 @@ func bodyKind(k isa.PieceKind) bool {
 	return k == isa.PieceNop || k == isa.PieceLoad || k == isa.PieceStore
 }
 
-// ovfCapable reports whether an ALU op can raise arithmetic overflow.
-func ovfCapable(op isa.ALUOp) bool {
-	return op == isa.OpAdd || op == isa.OpSub || op == isa.OpRSub || op == isa.OpNeg
-}
-
 // classifyLean assigns the lean execution class of one cached word.
 // Packed words (both slots active) always classify bcGeneral and run
 // through the exact executor.
@@ -370,7 +354,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	if capEnd := pa + blockMaxWords; capEnd < limit {
 		limit = capEnd
 	}
-	b := &block{pa: pa, valid: true, pure: true, termless: true}
+	b := &block{pa: pa, valid: true, termless: true}
 	for wa := pa; wa < limit; wa++ {
 		in := c.IMem[wa]
 		if in.ALU == nil && in.Mem == nil {
@@ -392,23 +376,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 			break
 		}
 		classifyLean(&d)
-		switch d.bclass {
-		case bcNop:
-			b.sNops++
-		case bcALU:
-			b.sPieces++
-			if ovfCapable(d.aluOp) {
-				b.hasOvf = true
-			}
-		default:
-			b.pure = false
-			if d.aluKind != isa.PieceNop {
-				b.sPieces++
-			}
-			if d.memKind != isa.PieceNop {
-				b.sPieces++
-			}
-		}
 		b.code = append(b.code, d)
 	}
 	b.n = uint32(len(b.code))
@@ -427,17 +394,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	// can stop the machine without an exception — a store hitting a
 	// halt device, or anything routed through the exact executor — so
 	// those keep the delayed-commit machinery.
-	run := uint8(0)
-	for i := len(b.code) - 1; i >= 0; i-- {
-		if b.code[i].bclass == bcNop {
-			if run < 255 {
-				run++
-			}
-			b.code[i].nopRun = run
-		} else {
-			run = 0
-		}
-	}
 	for i := range b.code {
 		d := &b.code[i]
 		if d.bclass != bcLoad || d.mode == isa.AModeLongImm {

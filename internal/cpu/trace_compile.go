@@ -45,7 +45,7 @@ func (tc traceCost) plus(o traceCost) traceCost {
 }
 
 // Per-class happy-path cost of one word, identical to what the block
-// engine's quiet loop accounts for the same word.
+// engine's body loop in runBlocks accounts for the same word.
 var (
 	wcNop     = traceCost{instr: 1, cycles: 1, nops: 1, free: 1}
 	wcALU     = traceCost{instr: 1, cycles: 1, pieces: 1, free: 1}
@@ -453,9 +453,9 @@ func emitNops(k int, guarded bool) traceOp {
 }
 
 // emitGeneral compiles a packed or otherwise unclassified body word
-// through the exact executor, exactly as the block engine's quiet loop
-// runs one: the word accounts its own statistics live (so it
-// contributes nothing to the trace's bulk cost or to later exit
+// through the exact executor, exactly as the block engine's body loop
+// in runBlocks runs one: the word accounts its own statistics live (so
+// it contributes nothing to the trace's bulk cost or to later exit
 // prefixes), and any redirect, halt, fault, or self-invalidation exits
 // the trace at the boundary the executor left.
 func emitGeneral(tr *trace, w *traceWord, pre traceCost) (traceOp, traceCost) {

@@ -240,9 +240,9 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 	for i := uint32(0); i < b.n; i++ {
 		// Any body class compiles: the lean classes specialize, and
 		// packed or unclassified words (bcGeneral) run through the exact
-		// executor inside the trace, just as the block engine's quiet
-		// loop runs them. Privileged pieces still refuse — they can
-		// change what dispatch latched.
+		// executor inside the trace, just as the block engine's body
+		// loop in runBlocks runs them. Privileged pieces still refuse —
+		// they can change what dispatch latched.
 		if b.code[i].flags&fPriv != 0 {
 			return false, false, 0, RefusalPrivileged
 		}
